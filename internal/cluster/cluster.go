@@ -39,7 +39,7 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"net/url"
 	"sort"
 	"sync"
@@ -126,9 +126,8 @@ type view struct {
 // NewRouter, call Start to launch health probing, mount Handler, and
 // cancel Start's context (then Wait) to shut down.
 type Router struct {
-	cfg    Config
-	client *http.Client
-	list   *psl.List
+	cfg  Config
+	list *psl.List
 
 	view atomic.Pointer[view]
 
@@ -222,11 +221,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if list == nil {
 		list = psl.Default()
 	}
-	rt := &Router{
-		cfg:    cfg,
-		list:   list,
-		client: &http.Client{}, // per-attempt contexts bound every call
-	}
+	rt := &Router{cfg: cfg, list: list}
 	if cfg.JournalPath != "" {
 		j, err := openJournal(cfg.JournalPath)
 		if err != nil {
@@ -269,7 +264,14 @@ func parseMember(raw string) (*member, error) {
 	if u.Host == "" {
 		return nil, fmt.Errorf("cluster: node %q: URL has no host", raw)
 	}
-	return &member{name: raw, base: u}, nil
+	port := u.Port()
+	if port == "" {
+		port = "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+	}
+	return &member{name: raw, base: u, addr: net.JoinHostPort(u.Hostname(), port)}, nil
 }
 
 // buildView assembles a membership snapshot: members sorted by name,
@@ -306,8 +308,9 @@ func (rt *Router) Start(ctx context.Context) {
 	}
 }
 
-// Wait blocks until every probe loop has exited — the shutdown
-// companion to cancelling Start's context.
+// Wait blocks until every probe loop has exited, each closing its
+// member's pooled connections — the shutdown companion to cancelling
+// Start's context.
 func (rt *Router) Wait() { rt.wg.Wait() }
 
 // startProbe launches m's readiness loop under ctx. The member's cancel
@@ -371,8 +374,9 @@ func (rt *Router) warm(ctx context.Context, m *member) error {
 }
 
 // Leave removes a node from the cluster: the ring flips first (new
-// arrivals stop routing to it), then the node's probe loop stops.
-// Requests already in flight toward the departing node finish normally
+// arrivals stop routing to it), then the node's probe loop stops and
+// its pooled connections close. Requests already in flight toward the
+// departing node finish normally, on connections closed as they return
 // — the operator drains and stops the node afterwards, which is the
 // "drain old owner" half of the re-sharding contract.
 func (rt *Router) Leave(nodeURL string) error {
@@ -400,6 +404,7 @@ func (rt *Router) Leave(nodeURL string) error {
 	if m.cancel != nil {
 		m.cancel()
 	}
+	m.closeConns()
 	rt.stats.leaves.Add(1)
 	rt.logf("leave: %s (members now %d)", nodeURL, len(nv.members))
 	return nil

@@ -123,8 +123,8 @@ func newTestNodes(t testing.TB, n int) []*testNode {
 }
 
 // newTestRouter fronts the nodes with a Router tuned for test speed and
-// starts health probing; teardown stops the loops and drains the
-// client's connection pool so leaktest sees a clean process.
+// starts health probing; teardown stops the loops, which closes the
+// pooled node connections, so leaktest sees a clean process.
 func newTestRouter(t testing.TB, nodes []*testNode, mod func(*Config)) *Router {
 	t.Helper()
 	urls := make([]string, len(nodes))
@@ -153,7 +153,6 @@ func newTestRouter(t testing.TB, nodes []*testNode, mod func(*Config)) *Router {
 	t.Cleanup(func() {
 		cancel()
 		rt.Wait()
-		rt.client.CloseIdleConnections()
 	})
 	waitHealthy(t, rt, len(nodes))
 	return rt

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -16,8 +17,9 @@ import (
 // failure takes the node out of rotation immediately instead of waiting
 // a probe period).
 type member struct {
-	name string // the configured base URL, also the ring identity
-	base *url.URL
+	name string   // the configured base URL, also the ring identity
+	base *url.URL // scheme and Host header
+	addr string   // host:port to dial
 
 	healthy  atomic.Bool
 	probeErr atomic.Pointer[string] // last probe failure, for /-/cluster
@@ -25,14 +27,12 @@ type member struct {
 	// cancel stops this member's probe loop on Leave; Start's context
 	// cancellation stops all of them.
 	cancel context.CancelFunc
-}
 
-// endpoint joins the member's base URL with a server path like
-// "/extract" or "/-/rollout/prepare".
-func (m *member) endpoint(path string) string {
-	u := *m.base
-	u.Path, u.RawQuery = path, ""
-	return u.String()
+	// poolMu guards the kept-alive connections (nodeclient.go); closed
+	// is set once the member leaves or the router shuts down.
+	poolMu sync.Mutex
+	idle   []*nodeConn
+	closed bool
 }
 
 // probeLoop drives m's health bit: probe, record, back off, repeat. A
@@ -42,6 +42,7 @@ func (m *member) endpoint(path string) string {
 // fleet of routers restarted together does not probe in lockstep.
 func (rt *Router) probeLoop(ctx context.Context, m *member) {
 	defer rt.wg.Done()
+	defer m.closeConns()
 	rng := rand.New(rand.NewSource(int64(hashKey(m.name))))
 	wait := rt.cfg.ProbeInterval
 	timer := time.NewTimer(0) // first probe immediately
@@ -94,19 +95,13 @@ func jitterWait(w time.Duration, rng *rand.Rand) time.Duration {
 func (rt *Router) probe(ctx context.Context, m *member) bool {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, m.endpoint("/readyz"), nil)
+	rep, err := m.roundTrip(pctx, http.MethodGet, "/readyz", "", nil, maxAckBytes)
 	if err != nil {
 		m.noteProbeErr(err)
 		return false
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		m.noteProbeErr(err)
-		return false
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		m.noteProbeErr(fmt.Errorf("cluster: probe %s: readyz returned %d", m.name, resp.StatusCode))
+	if rep.status != http.StatusOK {
+		m.noteProbeErr(fmt.Errorf("cluster: probe %s: readyz returned %d", m.name, rep.status))
 		return false
 	}
 	m.probeErr.Store(nil)

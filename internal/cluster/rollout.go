@@ -385,23 +385,18 @@ func (rt *Router) memberFingerprints(ctx context.Context, members []*member) []s
 func (rt *Router) nodeStatus(ctx context.Context, m *member) (fp string, gen uint64, err error) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, m.endpoint("/-/status"), nil)
+	rep, err := m.roundTrip(pctx, http.MethodGet, "/-/status", "", nil, 1<<20)
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: status of %s: %w", m.name, err)
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return "", 0, fmt.Errorf("cluster: status of %s: %w", m.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", 0, fmt.Errorf("cluster: status of %s: %d", m.name, resp.StatusCode)
+	if rep.status != http.StatusOK {
+		return "", 0, fmt.Errorf("cluster: status of %s: %d", m.name, rep.status)
 	}
 	var st struct {
 		Fingerprint string `json:"fingerprint"`
 		Generation  uint64 `json:"generation"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
+	if err := json.Unmarshal(rep.body, &st); err != nil {
 		return "", 0, fmt.Errorf("cluster: status of %s: %w", m.name, err)
 	}
 	return st.Fingerprint, st.Generation, nil
@@ -434,33 +429,21 @@ func (rt *Router) rolloutPost(ctx context.Context, phase string, m *member, path
 	if err := faultinject.Fire(ctx, faultinject.StageClusterRollout, phase+":"+m.name); err != nil {
 		return "", 0, err
 	}
-	u := *m.base
-	u.Path, u.RawQuery = path, rawQuery
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), rd)
-	if err != nil {
-		return "", 0, fmt.Errorf("cluster: rollout %s request: %w", phase, err)
-	}
-	resp, err := rt.client.Do(req)
+	rep, err := m.roundTrip(ctx, http.MethodPost, path, rawQuery, body, maxAckBytes)
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: rollout %s call: %w", phase, err)
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		if resp.Header.Get("X-Hoiho-Rollout-Nack") == "base-mismatch" {
-			return "", 0, fmt.Errorf("cluster: rollout %s: %w: %s", phase, ErrBaseMismatchNack, bytes.TrimSpace(b))
+	if rep.status != http.StatusOK {
+		if rep.header.Get("X-Hoiho-Rollout-Nack") == "base-mismatch" {
+			return "", 0, fmt.Errorf("cluster: rollout %s: %w: %s", phase, ErrBaseMismatchNack, bytes.TrimSpace(rep.body))
 		}
-		return "", 0, fmt.Errorf("cluster: rollout %s nacked with %d: %s", phase, resp.StatusCode, bytes.TrimSpace(b))
+		return "", 0, fmt.Errorf("cluster: rollout %s nacked with %d: %s", phase, rep.status, bytes.TrimSpace(rep.body))
 	}
-	fp := resp.Header.Get("X-Hoiho-Corpus")
+	fp := rep.header.Get("X-Hoiho-Corpus")
 	if fp == "" {
 		return "", 0, fmt.Errorf("cluster: rollout %s ack carries no X-Hoiho-Corpus proof", phase)
 	}
-	gen, err := strconv.ParseUint(resp.Header.Get("X-Hoiho-Generation"), 10, 64)
+	gen, err := strconv.ParseUint(rep.header.Get("X-Hoiho-Generation"), 10, 64)
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: rollout %s ack generation: %w", phase, err)
 	}
@@ -485,13 +468,8 @@ func (rt *Router) abortEpoch(ctx context.Context, members []*member, phase, node
 func (rt *Router) abortNode(ctx context.Context, m *member) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodPost, m.endpoint("/-/rollout/abort"), nil)
-	if err != nil {
-		return
-	}
-	if resp, err := rt.client.Do(req); err == nil {
-		resp.Body.Close()
-	}
+	// Best effort (see abortEpoch).
+	_, _ = m.roundTrip(pctx, http.MethodPost, "/-/rollout/abort", "", nil, maxAckBytes)
 }
 
 // rollbackNode undoes a committed node through the existing single-node
@@ -499,18 +477,12 @@ func (rt *Router) abortNode(ctx context.Context, m *member) {
 func (rt *Router) rollbackNode(ctx context.Context, m *member) error {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodPost, m.endpoint("/-/rollback"), nil)
-	if err != nil {
-		return fmt.Errorf("cluster: rollback request: %w", err)
-	}
-	resp, err := rt.client.Do(req)
+	rep, err := m.roundTrip(pctx, http.MethodPost, "/-/rollback", "", nil, maxAckBytes)
 	if err != nil {
 		return fmt.Errorf("cluster: rollback call: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("cluster: rollback refused with %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	if rep.status != http.StatusOK {
+		return fmt.Errorf("cluster: rollback refused with %d: %s", rep.status, bytes.TrimSpace(rep.body))
 	}
 	return nil
 }

@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"hoiho/internal/faultinject"
+	"hoiho/internal/serve"
 )
 
 // maxProxyRespBytes caps a buffered upstream response. Extraction
@@ -62,7 +60,7 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: missing host query parameter", http.StatusBadRequest)
 		return
 	}
-	rt.forward(w, r, rt.shardKey(host), nil, true)
+	rt.forward(w, r, rt.shardKey(host), nil)
 }
 
 // handleExtractBatch forwards a newline-separated batch body whole to
@@ -86,14 +84,21 @@ func (rt *Router) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: batch body contains no hostnames", http.StatusBadRequest)
 		return
 	}
-	rt.forward(w, r, rt.shardKey(first), body, false)
+	rt.forward(w, r, rt.shardKey(first), body)
 }
 
-// firstHostLine returns the first non-blank line of a batch body.
+// firstHostLine returns the first non-blank line of a batch body,
+// trimmed, scanning no further than that line.
 func firstHostLine(body []byte) string {
-	for _, line := range strings.Split(string(body), "\n") {
-		if h := strings.TrimSpace(line); h != "" {
-			return h
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		if h := bytes.TrimSpace(line); len(h) > 0 {
+			return string(h)
 		}
 	}
 	return ""
@@ -103,17 +108,23 @@ func firstHostLine(body []byte) string {
 // candidate index so the select loop knows which node produced it.
 type attemptResult struct {
 	idx int
-	res *proxyResult
+	res *nodeReply
 	err error
 }
 
 // forward routes one request to its shard: replicas in preference
-// order, bounded retries, an optional hedged second attempt after the
-// latency budget, and a degraded fallback to healthy non-owners when
-// the whole replica set is down. Exhausting every candidate sheds the
-// request with the serve taxonomy (503 + jittered Retry-After); the
-// router's own deadline expiring sheds it as 504.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte, hedge bool) {
+// order, bounded retries, a hedged second attempt after the latency
+// budget (single extractions only, body == nil), and a degraded
+// fallback to healthy non-owners when the whole replica set is down.
+// Exhausting every candidate sheds the request with the serve taxonomy
+// (503 + jittered Retry-After); the router's own deadline expiring
+// sheds it as 504.
+//
+// The first attempt runs on the handler goroutine. A hedge starts only
+// when the budget expires, on the timer's goroutine, and cancels the
+// primary if it answers first; retries and later hedges run on their
+// own goroutines and report through replies.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 
@@ -124,65 +135,102 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		rt.shed(w, ErrShardUnavailable.Error())
 		return
 	}
-
-	// Every attempt gets its own bounded context; all of them are
-	// cancelled on return so hedged losers stop immediately rather than
-	// running out their TryTimeout.
-	cancels := make([]context.CancelFunc, 0, len(candidates))
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-
-	// Buffered to the candidate count: every attempt goroutine can
-	// deliver (or fall through its default arm) and exit even if the
-	// handler has already returned.
+	method := http.MethodGet
+	if body != nil {
+		method = http.MethodPost
+	}
+	attempt := func(actx context.Context, i int) attemptResult {
+		rt.stats.forwards.Add(1)
+		res, err := rt.proxy(actx, candidates[i], method, r.URL.RawQuery, body)
+		return attemptResult{idx: i, res: res, err: err}
+	}
+	// Buffered to the candidate count: every attempt off the handler
+	// goroutine can deliver and exit even if the handler has already
+	// returned; ctx's cancellation stops the losers.
 	replies := make(chan attemptResult, len(candidates))
-	launched, pending := 0, 0
+	// report runs attempt i off the handler goroutine, under its own
+	// TryTimeout, and delivers the outcome on replies.
+	report := func(i int) attemptResult {
+		actx, acancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
+		defer acancel()
+		ar := attempt(actx, i)
+		select {
+		case replies <- ar:
+		default:
+		}
+		return ar
+	}
+	launched, pending := 1, 0
 	launch := func() {
 		i := launched
 		launched++
 		pending++
-		m := candidates[i]
-		actx, acancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
-		cancels = append(cancels, acancel)
-		rt.stats.forwards.Add(1)
-		go func() {
-			res, err := rt.proxy(actx, m, r.Method, r.URL.Path, r.URL.RawQuery, body)
-			select {
-			case replies <- attemptResult{idx: i, res: res, err: err}:
-			default:
-			}
-		}()
+		go report(i)
 	}
-	launch()
 
+	// The primary's context is cancelled, rather than expired, only by
+	// a hedge that answered first.
+	start := time.Now()
+	pctx, pcancel := context.WithTimeout(ctx, rt.cfg.TryTimeout)
+	defer pcancel()
+	var hedgeTimer *time.Timer
+	if body == nil && len(candidates) > 1 {
+		hedgeTimer = time.AfterFunc(rt.cfg.HedgeAfter, func() {
+			rt.stats.hedges.Add(1)
+			if ar := report(1); ar.err == nil && !retryableStatus(ar.res.status) {
+				pcancel()
+			}
+		})
+	}
+	first := attempt(pctx, 0)
+	hedgeOwed := false // the budget has not run out yet
+	if hedgeTimer != nil {
+		if hedgeOwed = hedgeTimer.Stop(); !hedgeOwed {
+			launched, pending = 2, 1 // the hedge is in flight
+		}
+	}
+
+	// settle relays a final answer (true) or fails over from a failed
+	// attempt: a transport error demotes the node unless the request
+	// itself ended or the hedge winner cancelled it.
+	settle := func(ar attemptResult) bool {
+		m := candidates[ar.idx]
+		switch {
+		case ar.err == nil && !retryableStatus(ar.res.status):
+			rt.writeProxied(w, ar.res, m.name, ar.idx >= owners)
+			return true
+		case ar.err != nil && (ctx.Err() != nil || (ar.idx == 0 && pctx.Err() == context.Canceled)):
+			return false
+		case ar.err != nil:
+			rt.markUnhealthy(m, ar.err)
+		}
+		// Retryable (transport error, 429, or 5xx): try the next
+		// candidate if any remain un-launched.
+		if launched < len(candidates) {
+			rt.stats.retries.Add(1)
+			launch()
+		}
+		return false
+	}
+	if settle(first) {
+		return
+	}
+
+	// The primary failed inside the budget: the hedge still fires when
+	// the budget runs out, now from the loop.
 	var hedgeC <-chan time.Time
-	if hedge && len(candidates) > 1 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
+	if hedgeOwed {
+		t := time.NewTimer(rt.cfg.HedgeAfter - time.Since(start))
 		defer t.Stop()
 		hedgeC = t.C
 	}
-
+wait:
 	for pending > 0 {
 		select {
 		case ar := <-replies:
 			pending--
-			m := candidates[ar.idx]
-			if ar.err != nil {
-				// Transport-level failure: the node is unreachable right
-				// now; demote it and fail over.
-				rt.markUnhealthy(m, ar.err)
-			} else if !retryableStatus(ar.res.status) {
-				rt.writeProxied(w, ar.res, m.name, ar.idx >= owners)
+			if settle(ar) {
 				return
-			}
-			// Retryable (transport error, 429, or 5xx): try the next
-			// candidate if any remain un-launched.
-			if launched < len(candidates) {
-				rt.stats.retries.Add(1)
-				launch()
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -191,12 +239,14 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 				launch()
 			}
 		case <-ctx.Done():
-			rt.stats.shed.Add(1)
-			http.Error(w, "cluster: request deadline exceeded", http.StatusGatewayTimeout)
-			return
+			break wait
 		}
 	}
 	rt.stats.shed.Add(1)
+	if ctx.Err() != nil {
+		http.Error(w, "cluster: request deadline exceeded", http.StatusGatewayTimeout)
+		return
+	}
 	rt.shed(w, ErrShardUnavailable.Error())
 }
 
@@ -249,40 +299,18 @@ func retryableStatus(status int) bool {
 	return status == http.StatusTooManyRequests || status >= 500
 }
 
-// proxyResult is one buffered upstream response.
-type proxyResult struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// proxy performs one forwarding attempt against m and buffers the
-// response. The faultinject hook (keyed by node name) lets chaos tests
-// fail specific nodes' forwards deterministically.
-func (rt *Router) proxy(ctx context.Context, m *member, method, path, rawQuery string, body []byte) (*proxyResult, error) {
+// proxy performs one forwarding attempt against m. The faultinject hook
+// (keyed by node name) lets chaos tests fail specific nodes' forwards
+// deterministically.
+func (rt *Router) proxy(ctx context.Context, m *member, method, rawQuery string, body []byte) (*nodeReply, error) {
 	if err := faultinject.Fire(ctx, faultinject.StageClusterForward, m.name); err != nil {
 		return nil, &ForwardError{Node: m.name, Err: err}
 	}
-	u := *m.base
-	u.Path, u.RawQuery = path, rawQuery
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
+	res, err := m.roundTrip(ctx, method, "/extract", rawQuery, body, maxProxyRespBytes)
 	if err != nil {
 		return nil, &ForwardError{Node: m.name, Err: err}
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, &ForwardError{Node: m.name, Err: err}
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyRespBytes))
-	if err != nil {
-		return nil, &ForwardError{Node: m.name, Err: err}
-	}
-	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b}, nil
+	return res, nil
 }
 
 // proxiedHeaders are the upstream headers forwarded to the client: the
@@ -299,7 +327,7 @@ var proxiedHeaders = []string{
 // identity and, when the answer came from off the shard's replica set,
 // an explicit degraded marker — correct (full corpus everywhere) but
 // misplaced, and the client deserves to know.
-func (rt *Router) writeProxied(w http.ResponseWriter, res *proxyResult, node string, degraded bool) {
+func (rt *Router) writeProxied(w http.ResponseWriter, res *nodeReply, node string, degraded bool) {
 	for _, h := range proxiedHeaders {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -318,23 +346,8 @@ func (rt *Router) writeProxied(w http.ResponseWriter, res *proxyResult, node str
 // exist), with a jittered Retry-After so synchronized clients spread
 // their return.
 func (rt *Router) shed(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
+	w.Header().Set("Retry-After", serve.RetryAfterSeconds(rt.cfg.RetryAfter))
 	http.Error(w, msg, http.StatusServiceUnavailable)
-}
-
-// retrySeq and retryAfterSeconds mirror internal/serve's jittered
-// Retry-After: deterministic Fibonacci-hash spread over [base, 2*base],
-// no RNG, no wall clock.
-var retrySeq atomic.Uint64
-
-func retryAfterSeconds(d time.Duration) string {
-	base := int((d + time.Second - 1) / time.Second)
-	if base < 1 {
-		base = 1
-	}
-	x := retrySeq.Add(1) * 0x9e3779b97f4a7c15
-	jitter := int((x >> 33) % uint64(base+1))
-	return strconv.Itoa(base + jitter)
 }
 
 // ClusterStatus is the /-/cluster document: membership health, ring

@@ -3,10 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,6 +225,171 @@ func TestRouterHedge(t *testing.T) {
 	if rt.stats.hedges.Load() == 0 {
 		t.Error("hedge must be accounted")
 	}
+	// The stalled primary was cancelled by the hedge winner, not failed:
+	// it must stay in rotation.
+	if !rt.view.Load().byName[owners[0]].healthy.Load() {
+		t.Error("the primary cancelled by the hedge winner was demoted")
+	}
+	if n := rt.StatusNow().Unhealthy; n != 0 {
+		t.Errorf("unhealthy_marks = %d, want 0", n)
+	}
+}
+
+// TestRouterStaleConnRetry: a node that closes its kept-alive
+// connections between two forwards (a restart or drain, as the router
+// sees one) costs a fresh dial, not a failed request or a demotion.
+func TestRouterStaleConnRetry(t *testing.T) {
+	nodes := newTestNodes(t, 3)
+	// Probes after the first are an hour out, so only the forward meets
+	// the closed connections.
+	rt := newTestRouter(t, nodes, func(c *Config) { c.ProbeInterval = time.Hour })
+	host := "as3-pod1.cluster2.net"
+	if w, _ := doGet(t, rt, "/extract?host="+host); w.Code != 200 {
+		t.Fatalf("first GET = %d: %s", w.Code, w.Body.String())
+	}
+	for _, n := range nodes {
+		n.ts.CloseClientConnections()
+	}
+	w, rep := doGet(t, rt, "/extract?host="+host)
+	if w.Code != 200 || !rep.Found || rep.ASN != 3 {
+		t.Fatalf("GET after the node closed its connections = %d %+v: %s", w.Code, rep, w.Body.String())
+	}
+	st := rt.StatusNow()
+	if st.Unhealthy != 0 || st.Retries != 0 {
+		t.Errorf("stale connection cost unhealthy_marks=%d retries=%d, want 0/0", st.Unhealthy, st.Retries)
+	}
+}
+
+// TestRoundTripRejectsBadTarget: a path or query carrying CR, LF, a
+// space or another control byte fails before anything is written, so
+// no request can be smuggled onto a node connection.
+func TestRoundTripRejectsBadTarget(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var received atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n, _ := io.Copy(io.Discard, c)
+			received.Add(n)
+			c.Close()
+		}
+	}()
+	m, err := parseMember("http://" + ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for _, tc := range []struct{ path, query string }{
+		{"/extract", "host=a\r\nX-Evil: 1"},
+		{"/extract", "host=a\nb"},
+		{"/extract", "host=a b"},
+		{"/extract", "host=a\x00"},
+		{"/extract\r\nHost: evil", ""},
+		{"/-/rollout/prepare", "epoch=1\x7f"},
+	} {
+		if _, err := m.roundTrip(ctx, "GET", tc.path, tc.query, nil, 4096); !errors.Is(err, errBadTarget) {
+			t.Errorf("roundTrip(%q, %q) = %v, want errBadTarget", tc.path, tc.query, err)
+		}
+	}
+	m.closeConns()
+	ln.Close()
+	<-done
+	if n := received.Load(); n != 0 {
+		t.Errorf("%d bytes reached the node", n)
+	}
+}
+
+// TestLeaveClosesConns: Leave closes the departed member's pooled
+// connections, and a connection an in-flight request returns after the
+// leave is closed rather than pooled.
+func TestLeaveClosesConns(t *testing.T) {
+	stay := newTestNodes(t, 1)[0]
+	// The departing node counts its open connections.
+	var open atomic.Int64
+	gone := &testNode{srv: stay.srv, ts: httptest.NewUnstartedServer(stay.srv.Handler())}
+	gone.ts.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	gone.ts.Start()
+	t.Cleanup(gone.ts.Close)
+	rt := newTestRouter(t, []*testNode{stay, gone}, nil)
+	m := rt.view.Load().byName[gone.url()]
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	// Two pooled connections (beside the probe loop's) plus one held by
+	// an in-flight request that returns only after the leave.
+	c1, c2 := mustDial(t, ctx, m), mustDial(t, ctx, m)
+	m.putConn(c1)
+	m.putConn(c2)
+	inflight := mustDial(t, ctx, m)
+	waitOpen(t, &open, func(n int64) bool { return n >= 3 }, "at least 3")
+
+	if err := rt.Leave(gone.url()); err != nil {
+		t.Fatal(err)
+	}
+	waitOpen(t, &open, func(n int64) bool { return n == 1 }, "only the in-flight one")
+	if _, _, err := m.exchange(ctx, inflight, "GET", "/readyz", "", nil, 4096); err != nil {
+		t.Fatalf("in-flight request after leave: %v", err)
+	}
+	waitOpen(t, &open, func(n int64) bool { return n == 0 }, "none")
+	if got := m.getConn(); got != nil {
+		t.Error("a connection returned after leave was pooled")
+	}
+}
+
+func mustDial(t *testing.T, ctx context.Context, m *member) *nodeConn {
+	t.Helper()
+	c, err := m.dial(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// waitOpen waits until the node's open-connection count satisfies ok.
+func waitOpen(t *testing.T, open *atomic.Int64, ok func(int64) bool, want string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok(open.Load()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node has %d open connections, want %s", open.Load(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFirstHostLine: the batch shard key is the first non-blank line,
+// whatever the line endings and leading blank lines.
+func TestFirstHostLine(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{"a.example.net\nb.example.net\n", "a.example.net"},
+		{"\n\n  \nb.example.net\n", "b.example.net"},
+		{"\r\n\r\nc.example.net\r\nd.example.net\r\n", "c.example.net"},
+		{"  e.example.net\t", "e.example.net"},
+		{"f.example.net", "f.example.net"},
+		{" \t\r\n \n\t", ""},
+		{"", ""},
+	} {
+		if got := firstHostLine([]byte(tc.body)); got != tc.want {
+			t.Errorf("firstHostLine(%q) = %q, want %q", tc.body, got, tc.want)
+		}
+	}
 }
 
 // TestRouterReadyz: not ready before any probe succeeds, ready after.
@@ -240,7 +410,6 @@ func TestRouterReadyz(t *testing.T) {
 	defer func() {
 		cancel()
 		rt.Wait()
-		rt.client.CloseIdleConnections()
 	}()
 	waitHealthy(t, rt, 2)
 	w2 := httptest.NewRecorder()
@@ -327,12 +496,19 @@ func TestClusterStatus(t *testing.T) {
 	}
 }
 
-// TestRetryAfterJitter: the shed hint spreads across [base, 2*base] so
-// synchronized clients do not return as a thundering herd.
+// TestRetryAfterJitter: the router's shed hint spreads across
+// [base, 2*base] so synchronized clients do not return as a thundering
+// herd.
 func TestRetryAfterJitter(t *testing.T) {
+	rt, err := NewRouter(Config{Nodes: []string{"http://127.0.0.1:1"}, RetryAfter: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	distinct := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		v := retryAfterSeconds(2 * time.Second)
+		w := httptest.NewRecorder()
+		rt.shed(w, "shed")
+		v := w.Header().Get("Retry-After")
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			t.Fatalf("Retry-After %q is not an integer", v)

@@ -97,10 +97,10 @@ func shed(err error) bool {
 func httpError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	switch {
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrNoCorpus):
-		w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+		w.Header().Set("Retry-After", RetryAfterSeconds(retryAfter))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrAdmissionTimeout):
-		w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+		w.Header().Set("Retry-After", RetryAfterSeconds(retryAfter))
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "serve: request deadline exceeded", http.StatusGatewayTimeout)
@@ -119,14 +119,15 @@ func httpError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 // atomic add per shed request.
 var retrySeq atomic.Uint64
 
-// retryAfterSeconds renders d as a whole-second Retry-After hint with
+// RetryAfterSeconds renders d as a whole-second Retry-After hint with
 // jitter: a value in [base, 2*base] where base is d rounded up to at
 // least 1s. Shed responses go out to many clients in the same overload
 // instant; if they all carried the same hint, they would return in the
 // same instant too and re-saturate a node that was just recovering.
 // Spreading the hint across a window turns the synchronized thundering
-// herd into a trickle the admission gate can absorb.
-func retryAfterSeconds(d time.Duration) string {
+// herd into a trickle the admission gate can absorb. The cluster
+// router's shed responses use it too.
+func RetryAfterSeconds(d time.Duration) string {
 	base := int((d + time.Second - 1) / time.Second)
 	if base < 1 {
 		base = 1

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -21,6 +22,21 @@ type snapshot struct {
 	generation uint64
 	// loadedAt is when this snapshot was published.
 	loadedAt time.Time
+	// corpusHdr and genHdr are the X-Hoiho-Corpus and X-Hoiho-Generation
+	// values, rendered once at publish; stamp shares them read-only.
+	corpusHdr, genHdr []string
+}
+
+// newSnapshot builds the snapshot publishing corpus as generation gen.
+func newSnapshot(corpus *extract.Corpus, source string, gen uint64) *snapshot {
+	return &snapshot{
+		corpus:     corpus,
+		source:     source,
+		generation: gen,
+		loadedAt:   time.Now(),
+		corpusHdr:  []string{corpus.FingerprintString()},
+		genHdr:     []string{strconv.FormatUint(gen, 10)},
+	}
 }
 
 // Reload loads a candidate corpus from the configured path into a side
@@ -46,12 +62,7 @@ func (s *Server) Reload(ctx context.Context) (*snapshot, error) {
 		s.noteErrLocked(err)
 		return nil, &ReloadError{Path: s.cfg.CorpusPath, Err: err}
 	}
-	snap := &snapshot{
-		corpus:     corpus,
-		source:     s.cfg.CorpusPath,
-		generation: s.generation.Add(1),
-		loadedAt:   time.Now(),
-	}
+	snap := newSnapshot(corpus, s.cfg.CorpusPath, s.generation.Add(1))
 	if old := s.state.Swap(snap); old != nil {
 		s.prev.Store(old)
 	}
@@ -72,12 +83,7 @@ func (s *Server) Rollback() (*snapshot, error) {
 	}
 	// Republish under a fresh generation number so consumers watching
 	// X-Hoiho-Generation see rollback as a distinct transition.
-	snap := &snapshot{
-		corpus:     prev.corpus,
-		source:     prev.source,
-		generation: s.generation.Add(1),
-		loadedAt:   time.Now(),
-	}
+	snap := newSnapshot(prev.corpus, prev.source, s.generation.Add(1))
 	if old := s.state.Swap(snap); old != nil {
 		s.prev.Store(old)
 	}

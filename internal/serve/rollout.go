@@ -155,12 +155,7 @@ func (s *Server) CommitPrepared(wantFP string) (*snapshot, error) {
 		s.noteRolloutLocked(p.epoch, p.corpus.FingerprintString(), "failed", err)
 		return nil, &ReloadError{Path: s.cfg.CorpusPath, Err: err}
 	}
-	snap := &snapshot{
-		corpus:     p.corpus,
-		source:     s.cfg.CorpusPath,
-		generation: s.generation.Add(1),
-		loadedAt:   time.Now(),
-	}
+	snap := newSnapshot(p.corpus, s.cfg.CorpusPath, s.generation.Add(1))
 	if old := s.state.Swap(snap); old != nil {
 		s.prev.Store(old)
 	}

@@ -218,7 +218,7 @@ func TestNodeStatusEndpoint(t *testing.T) {
 func TestRetryAfterJitterSpread(t *testing.T) {
 	distinct := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		v := retryAfterSeconds(3 * time.Second)
+		v := RetryAfterSeconds(3 * time.Second)
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			t.Fatalf("Retry-After %q is not an integer", v)
@@ -232,7 +232,7 @@ func TestRetryAfterJitterSpread(t *testing.T) {
 		t.Errorf("64 hints collapsed to %d distinct value(s)", len(distinct))
 	}
 	// Sub-second budgets still round up to at least one second.
-	if v := retryAfterSeconds(10 * time.Millisecond); v < "1" {
+	if v := RetryAfterSeconds(10 * time.Millisecond); v < "1" {
 		t.Errorf("tiny budget hint = %q", v)
 	}
 }

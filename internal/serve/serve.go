@@ -322,10 +322,12 @@ func toResponse(host string, m extract.Result) extractResponse {
 
 // stamp marks the response with the exact corpus snapshot that produced
 // it, so consumers (and the reload chaos tests) can detect mixed or
-// misrouted responses across hot swaps.
+// misrouted responses across hot swaps. The values were rendered at
+// publish; the keys are already in canonical form.
 func stamp(w http.ResponseWriter, snap *snapshot) {
-	w.Header().Set("X-Hoiho-Corpus", snap.corpus.FingerprintString())
-	w.Header().Set("X-Hoiho-Generation", fmt.Sprintf("%d", snap.generation))
+	h := w.Header()
+	h["X-Hoiho-Corpus"] = snap.corpusHdr
+	h["X-Hoiho-Generation"] = snap.genHdr
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
