@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"hoiho/internal/faultinject"
@@ -55,7 +55,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 	rt.stats.requests.Add(1)
-	host := r.URL.Query().Get("host")
+	host := serve.HostParam(r.URL.RawQuery)
 	if host == "" {
 		http.Error(w, "cluster: missing host query parameter", http.StatusBadRequest)
 		return
@@ -70,7 +70,7 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 // corpus).
 func (rt *Router) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 	rt.stats.requests.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBatchBytes+1))
+	body, err := serve.ReadBody(r, rt.cfg.MaxBatchBytes)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("cluster: reading batch body: %v", err), http.StatusBadRequest)
 		return
@@ -326,13 +326,15 @@ var proxiedHeaders = []string{
 // writeProxied relays an upstream response, adding the serving node's
 // identity and, when the answer came from off the shard's replica set,
 // an explicit degraded marker — correct (full corpus everywhere) but
-// misplaced, and the client deserves to know.
+// misplaced, and the client deserves to know. The buffered body goes
+// out with its exact Content-Length, never chunked.
 func (rt *Router) writeProxied(w http.ResponseWriter, res *nodeReply, node string, degraded bool) {
 	for _, h := range proxiedHeaders {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.Header().Set("X-Hoiho-Node", node)
 	if degraded {
 		rt.stats.degraded.Add(1)

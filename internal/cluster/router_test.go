@@ -116,6 +116,57 @@ func TestRouterBatch(t *testing.T) {
 	}
 }
 
+// TestRouterBatchRelayUnchunked: over real HTTP, a batch reply too big
+// for the server's pre-chunking buffer reaches the client with an exact
+// Content-Length, not chunked, byte for byte as the node answers the
+// same body.
+func TestRouterBatchRelayUnchunked(t *testing.T) {
+	nodes := newTestNodes(t, 3)
+	rt := newTestRouter(t, nodes, nil)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&sb, "as%d-pod%d.cluster%d.net\n", i, i+1, i%nSuffixes)
+	}
+	post := func(base string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := client.Post(base+"/extract", "text/plain", strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("POST %s/extract = %d, %v: %s", base, resp.StatusCode, err, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("POST %s/extract: Content-Length %d, Transfer-Encoding %v for a %d-byte body; want exact length, unchunked",
+				base, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		return resp, body
+	}
+	resp, routed := post(front.URL)
+	if len(routed) <= 4096 {
+		t.Fatalf("batch reply is %d bytes, too small to have been chunked", len(routed))
+	}
+	var node string
+	for _, n := range nodes {
+		if n.url() == resp.Header.Get("X-Hoiho-Node") {
+			node = n.url()
+		}
+	}
+	if node == "" {
+		t.Fatalf("X-Hoiho-Node %q names no test node", resp.Header.Get("X-Hoiho-Node"))
+	}
+	if _, direct := post(node); string(direct) != string(routed) {
+		t.Errorf("routed body differs from the node's own answer:\n routed %q\n direct %q", routed, direct)
+	}
+}
+
 // TestRouterFailover: when a shard's primary cannot be reached, the
 // request lands on the other replica — same corpus, no error, no
 // degraded marker (a replica is a full owner).

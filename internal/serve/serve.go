@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -331,7 +330,7 @@ func stamp(w http.ResponseWriter, snap *snapshot) {
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	host := r.URL.Query().Get("host")
+	host := HostParam(r.URL.RawQuery)
 	if host == "" {
 		http.Error(w, "serve: missing host query parameter", http.StatusBadRequest)
 		return
@@ -356,7 +355,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.stats.found.Add(1)
 	}
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, toResponse(host, m))
+	b := appendResponse(make([]byte, 0, 192), toResponse(host, m), "")
+	writeExtract(w, append(b, '\n'))
 }
 
 // handleExtractBatch reads newline-separated hostnames (bounded by
@@ -385,14 +385,13 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err, s.cfg.QueueWait)
 		return
 	}
-	out := make([]extractResponse, len(results))
-	for i, res := range results {
-		out[i] = toResponse(hosts[i], res)
-	}
+	b := appendBatch(make([]byte, 0, 160*len(results)+8), len(results), func(i int) extractResponse {
+		return toResponse(hosts[i], results[i])
+	})
 	s.stats.served.Add(1)
 	s.stats.found.Add(countFound(results))
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, out)
+	writeExtract(w, b)
 }
 
 func countFound(results []extract.Result) uint64 {
@@ -494,15 +493,18 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 // lines skipped, total size bounded by maxBytes so a hostile client
 // cannot buffer the daemon into an OOM.
 func readHostLines(r *http.Request, maxBytes int64) ([]string, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
+	body, err := ReadBody(r, maxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading batch body: %w", err)
 	}
 	if int64(len(body)) > maxBytes {
 		return nil, fmt.Errorf("serve: batch body exceeds %d-byte cap", maxBytes)
 	}
-	var hosts []string
-	for _, line := range strings.Split(string(body), "\n") {
+	rest := string(body)
+	hosts := make([]string, 0, strings.Count(rest, "\n")+1)
+	for rest != "" {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		if h := strings.TrimSpace(line); h != "" {
 			hosts = append(hosts, h)
 		}
