@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"hoiho/internal/asn"
 	"hoiho/internal/core"
@@ -144,10 +146,18 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			}
 		case strings.HasPrefix(line, "#"):
 		case strings.HasPrefix(line, "node.AS "):
-			var id int
-			var a uint32
-			if _, err := fmt.Sscanf(line, "node.AS N%d %d", &id, &a); err != nil {
+			idField, rest := nextField(line[len("node.AS "):])
+			asField, rest := nextField(rest)
+			if rest != "" {
+				return nil, fmt.Errorf("itdk: line %d: want node.AS N<id> <asn>", lineno)
+			}
+			id, err := nodeID(idField)
+			if err != nil {
 				return nil, fmt.Errorf("itdk: line %d: %w", lineno, err)
+			}
+			a, err := strconv.ParseUint(asField, 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("itdk: line %d: ASN: %w", lineno, err)
 			}
 			rec, ok := byID[id]
 			if !ok {
@@ -159,13 +169,17 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			if !ok {
 				return nil, fmt.Errorf("itdk: line %d: missing ':'", lineno)
 			}
-			var id int
-			if _, err := fmt.Sscanf(head, "node N%d", &id); err != nil {
+			idField, extra := nextField(head[len("node "):])
+			if extra != "" {
+				return nil, fmt.Errorf("itdk: line %d: want node N<id>: <addrs>", lineno)
+			}
+			id, err := nodeID(idField)
+			if err != nil {
 				return nil, fmt.Errorf("itdk: line %d: %w", lineno, err)
 			}
 			rec := &NodeRecord{ID: id}
-			for _, as := range strings.Fields(rest) {
-				addr, err := netip.ParseAddr(as)
+			for f, more := nextField(rest); f != ""; f, more = nextField(more) {
+				addr, err := netip.ParseAddr(f)
 				if err != nil {
 					return nil, fmt.Errorf("itdk: line %d: %w", lineno, err)
 				}
@@ -174,15 +188,16 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			byID[id] = rec
 			order = append(order, id)
 		case strings.HasPrefix(line, "ptr "):
-			fields := strings.Fields(line)
-			if len(fields) != 3 {
+			addrField, rest := nextField(line[len("ptr "):])
+			host, rest := nextField(rest)
+			if host == "" || rest != "" {
 				return nil, fmt.Errorf("itdk: line %d: want ptr addr host", lineno)
 			}
-			addr, err := netip.ParseAddr(fields[1])
+			addr, err := netip.ParseAddr(addrField)
 			if err != nil {
 				return nil, fmt.Errorf("itdk: line %d: %w", lineno, err)
 			}
-			ptrs[addr] = fields[2]
+			ptrs[addr] = host
 		default:
 			return nil, fmt.Errorf("itdk: line %d: unrecognized %q", lineno, line)
 		}
@@ -190,6 +205,10 @@ func Parse(r io.Reader) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	// Nodes come out in ID order. A repeated ID lists its last record at
+	// each occurrence, so sorting the IDs orders the records stably.
+	sort.Ints(order)
+	s.Nodes = make([]NodeRecord, 0, len(order))
 	for _, id := range order {
 		rec := byID[id]
 		rec.Hostnames = make([]string, len(rec.Addrs))
@@ -198,6 +217,30 @@ func Parse(r io.Reader) (*Snapshot, error) {
 		}
 		s.Nodes = append(s.Nodes, *rec)
 	}
-	sort.SliceStable(s.Nodes, func(i, j int) bool { return s.Nodes[i].ID < s.Nodes[j].ID })
 	return s, nil
+}
+
+// nextField returns the first whitespace-separated field of s and the
+// text after the whitespace that ends it: strings.Fields one field at a
+// time, without the slice.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	i := strings.IndexFunc(s, unicode.IsSpace)
+	if i < 0 {
+		return s, ""
+	}
+	return s[:i], strings.TrimLeftFunc(s[i:], unicode.IsSpace)
+}
+
+// nodeID parses an "N<id>" node reference.
+func nodeID(f string) (int, error) {
+	digits, ok := strings.CutPrefix(f, "N")
+	if !ok {
+		return 0, fmt.Errorf("node id %q: missing N", f)
+	}
+	id, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, fmt.Errorf("node id: %w", err)
+	}
+	return id, nil
 }
