@@ -269,7 +269,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "# %d training items, %d conventions\n", len(items), len(ncs))
-	groups, _ := core.GroupItems(list, items)
+	var groups map[string][]core.Item
+	if *matches {
+		groups, _ = core.GroupItems(list, items)
+	}
 	for _, nc := range ncs {
 		tag := nc.Class.String()
 		if nc.Single {

@@ -274,3 +274,27 @@ func TestRunMatchesDump(t *testing.T) {
 		t.Errorf("extraction columns missing:\n%s", text)
 	}
 }
+
+// TestRunTextGolden pins the whole text report, with and without the
+// per-hostname -matches dump, on a three-suffix training set.
+func TestRunTextGolden(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"testdata/train.txt"}, "testdata/text.golden"},
+		{[]string{"-matches", "testdata/train.txt"}, "testdata/text_matches.golden"},
+	} {
+		var out bytes.Buffer
+		if err := run(context.Background(), c.args, &out); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("%v: output differs from %s:\ngot:\n%s\nwant:\n%s", c.args, c.golden, out.String(), want)
+		}
+	}
+}
