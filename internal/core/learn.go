@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -213,7 +214,9 @@ func (s *Set) classPhase(ctx context.Context, cands []scored) ([]scored, error) 
 
 // embedClasses returns a copy of r with every exclusion component whose
 // matched substrings admit a character class replaced by that class; nil
-// when nothing changed.
+// when nothing changed. The substrings are the per-token spans of r's
+// compiled program, probed only on the items its column matched (the
+// only items the instrumented match could match).
 func (s *Set) embedClasses(r *rex.Regex) *rex.Regex {
 	toks := r.Tokens()
 	exclIdx := make([]int, 0, 2)
@@ -225,19 +228,25 @@ func (s *Set) embedClasses(r *rex.Regex) *rex.Regex {
 	if len(exclIdx) == 0 {
 		return nil
 	}
+	c := s.matrix().column(r)
+	if c.bad {
+		return nil
+	}
 	samples := make(map[int][]string, len(exclIdx))
 	var spanBuf [][2]int
-	for i := 0; i < s.ar.len(); i++ {
-		full := s.ar.full[i]
-		spans, ok := r.AppendTokenSpans(spanBuf, full)
-		spanBuf = spans[:0]
-		if !ok {
-			continue
-		}
-		for _, ti := range exclIdx {
-			sp := spans[ti]
-			if sp[0] >= 0 && sp[1] > sp[0] {
-				samples[ti] = append(samples[ti], full[sp[0]:sp[1]])
+	for w, word := range c.matched {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			full := s.ar.full[w*64+bits.TrailingZeros64(rest)]
+			spans, ok := c.prog.AppendSpans(spanBuf, full)
+			spanBuf = spans[:0]
+			if !ok {
+				continue
+			}
+			for _, ti := range exclIdx {
+				sp := spans[ti]
+				if sp[0] >= 0 && sp[1] > sp[0] {
+					samples[ti] = append(samples[ti], full[sp[0]:sp[1]])
+				}
 			}
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"hoiho/internal/faultinject"
+	"hoiho/internal/match"
 	"hoiho/internal/rex"
 )
 
@@ -53,7 +54,10 @@ type column struct {
 	// bad marks a regex that failed to compile: it matches nothing, and
 	// its eval charges an FN for every apparent-ASN item (exactly what
 	// the naive Evaluate returns for such a regex).
-	bad     bool
+	bad bool
+	// prog is the regex lowered once for the whole learning pass: it
+	// built this column and answers §3.4's per-token span probes.
+	prog    *match.Program
 	matched bitset
 	tp      bitset   // subset of matched: congruent and outside IP spans
 	ext     []uint32 // per-item interned extraction ID (valid where matched)
@@ -130,21 +134,28 @@ func newColumns(k, n int) []column {
 }
 
 // buildColumn runs one regex over every item, filling the caller's
-// pre-allocated (zeroed) column and exts scratch. It performs no
-// interning and touches no shared state, so builds can fan out across
-// goroutines; the raw extraction strings feed a serial finish pass.
+// pre-allocated (zeroed) column and exts scratch. The regex is lowered
+// onto the compiled matcher the serving Engine uses (internal/match);
+// Set.Evaluate's stdlib path is the oracle it is tested against. It
+// performs no interning and touches no shared state, so builds can fan
+// out across goroutines; the raw extraction strings feed a serial
+// finish pass.
 func (m *matrix) buildColumn(r *rex.Regex, c *column, exts []string) {
-	if _, err := r.Compile(); err != nil {
+	p, ok := match.CompileOne(r)
+	if !ok {
 		c.bad = true
 		return
 	}
+	c.prog = p
 	ar := &m.s.ar
 	typo := !m.s.opts.DisableTypoCredit
 	for i := 0; i < ar.len(); i++ {
-		ext, start, end, ok := r.Extract(ar.full[i])
+		full := ar.full[i]
+		start, end, ok := p.Match(full)
 		if !ok {
 			continue
 		}
+		ext := full[start:end]
 		c.matched.set(i)
 		exts[i] = ext
 		if !inSpans(ar.spansOf(i), start, end) && congruentDigits(ext, ar.digits[i], typo) {

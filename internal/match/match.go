@@ -23,6 +23,7 @@ package match
 
 import (
 	"regexp"
+	"strings"
 
 	"hoiho/internal/rex"
 )
@@ -115,6 +116,59 @@ func (e *Engine) MatchString(host string) (Hit, bool) {
 	return Hit{}, false
 }
 
+// Program is one regex compiled on its own: the learner's per-candidate
+// matcher. It runs the lowered program, det loop and VM an Engine runs
+// for the same regex, and it is immutable and safe for concurrent use.
+type Program struct {
+	p   *program
+	src *rex.Regex
+}
+
+// CompileOne lowers r through the path Compile takes for each of its
+// regexes. ok is false exactly when Compile would drop r: when
+// regexp.Compile rejects r.String().
+func CompileOne(r *rex.Regex) (*Program, bool) {
+	p, ok := compileProgram(r)
+	if !ok {
+		return nil, false
+	}
+	return &Program{p: p, src: r}, true
+}
+
+// Match reports whether host matches and the byte span of the capture:
+// the answer rex.Extract gives for the source regex.
+func (p *Program) Match(host string) (start, end int, ok bool) {
+	return p.p.match(host)
+}
+
+// AppendSpans matches host and appends the byte span each token of the
+// source regex covered to dst[:0], aligned with its Tokens() exactly as
+// rex.AppendTokenSpans reports them (an optional alternation that
+// matched nothing spans zero bytes). The spans are recorded by the VM on
+// its successful path. An oracle program, or a match that runs out of
+// steps, answers through rex.AppendTokenSpans instead.
+func (p *Program) AppendSpans(dst [][2]int, host string) ([][2]int, bool) {
+	pr := p.p
+	if pr.oracle {
+		return p.src.AppendTokenSpans(dst, host)
+	}
+	if len(host) < pr.minLen || pr.tailLit != "" && !strings.HasSuffix(host, pr.tailLit) {
+		return dst[:0], false
+	}
+	spans := dst[:0]
+	for range pr.ops {
+		spans = append(spans, [2]int{})
+	}
+	v := vm{host: host, steps: stepBudget, spans: spans}
+	if pr.search(&v) {
+		return spans, true
+	}
+	if v.steps < 0 {
+		return p.src.AppendTokenSpans(dst, host)
+	}
+	return dst[:0], false
+}
+
 // RegexpSet is the stdlib implementation of Matcher: the property-test
 // and fuzz oracle for Engine, and the fallback serving path selectable
 // via extract.WithMatcher.
@@ -145,7 +199,7 @@ func (rs *RegexpSet) Len() int { return len(rs.res) }
 func (rs *RegexpSet) MatchString(host string) (Hit, bool) {
 	for i, re := range rs.res {
 		m := re.FindStringSubmatchIndex(host)
-		if m == nil || m[2] < 0 {
+		if len(m) < 4 || m[2] < 0 { // no match, or the capture group did not survive rendering
 			continue
 		}
 		return Hit{Index: i, Start: m[2], End: m[3]}, true

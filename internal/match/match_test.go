@@ -76,11 +76,27 @@ func TestCompiledMatchParityTable(t *testing.T) {
 }
 
 // specAST deterministically builds a rex AST from raw bytes — shared by
-// the randomized property test and FuzzCompiledMatchParity. Literal and
+// the randomized property tests and the fuzz targets. Literal and
 // exclusion alphabets stay within hostname-ish ASCII so the rendered
 // regex always compiles; subject hostnames remain arbitrary bytes.
-func specAST(spec []byte) *rex.Regex {
-	const litChars = "ab9z0.-_s"
+func specAST(spec []byte) *rex.Regex { return buildSpecAST(spec, false) }
+
+// wideSpecAST is specAST over alphabets that add regex syntax bytes,
+// non-ASCII and invalid UTF-8 to literals, alternatives and exclusion
+// sets, so the rendered regex may not compile, or may compile into
+// something other than the token sequence says: the inputs on which the
+// compile gate and the oracle lowering are decided.
+func wideSpecAST(spec []byte) *rex.Regex { return buildSpecAST(spec, true) }
+
+func buildSpecAST(spec []byte, wide bool) *rex.Regex {
+	litChars := "ab9z0.-_s"
+	excls := []string{".", "-", ".-", "_", ".-_", "a"}
+	altChars := []string{"p", "s", "as", "", "r9"}
+	if wide {
+		litChars += "\\[](^$|*é\xff"
+		excls = append(excls, "", "]", "a]", "\\", "[", "[:", ":]", "^", "é", "\xff", "\n")
+		altChars = append(altChars, "\xff", "(", "]", "é")
+	}
 	var toks []rex.Token
 	capPlaced, dotUsed := false, false
 	for i := 0; i+1 < len(spec) && len(toks) < 12; i += 2 {
@@ -99,8 +115,7 @@ func specAST(spec []byte) *rex.Regex {
 				toks = append(toks, rex.Capture())
 			}
 		case 2:
-			excl := []string{".", "-", ".-", "_", ".-_", "a"}[int(pay)%6]
-			toks = append(toks, rex.Excl(excl))
+			toks = append(toks, rex.Excl(excls[int(pay)%len(excls)]))
 		case 3:
 			toks = append(toks, rex.ClassTok(rex.Class(pay%3)))
 		case 4:
@@ -111,7 +126,7 @@ func specAST(spec []byte) *rex.Regex {
 		case 5:
 			alts := make([]string, int(pay%3)+1)
 			for j := range alts {
-				alts[j] = []string{"p", "s", "as", "", "r9"}[(int(pay)+j)%5]
+				alts[j] = altChars[(int(pay)+j)%len(altChars)]
 			}
 			toks = append(toks, rex.Alt(pay&8 != 0, alts...))
 		case 6:
@@ -163,6 +178,34 @@ func TestCompiledMatchParityRandomized(t *testing.T) {
 		}
 		for j := 0; j < 10; j++ {
 			checkParity(t, r, randHost(rng))
+		}
+	}
+}
+
+// TestProgramSpans runs the FuzzProgramSpans properties over the parity
+// table and over random hostname-ish and wide ASTs.
+func TestProgramSpans(t *testing.T) {
+	for _, r := range tableRegexes(t) {
+		for _, host := range parityHosts {
+			checkProgram(t, r, host)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 600; iter++ {
+		spec := make([]byte, rng.Intn(20)+2)
+		rng.Read(spec)
+		r := specAST(spec)
+		if iter%2 == 1 {
+			r = wideSpecAST(spec)
+		}
+		if r == nil {
+			continue
+		}
+		for _, host := range parityHosts {
+			checkProgram(t, r, host)
+		}
+		for j := 0; j < 10; j++ {
+			checkProgram(t, r, randHost(rng))
 		}
 	}
 }
@@ -230,9 +273,9 @@ func TestBacktrackBudgetFallback(t *testing.T) {
 	}
 	toks = append(toks, rex.Lit("!"))
 	r := rex.MustNew(toks...)
-	checkParity(t, r, "1"+strings.Repeat("a", 40))          // no match, exponential without budget
-	checkParity(t, r, "1"+strings.Repeat("a", 40)+"!")      // match
-	checkParity(t, r, "123"+strings.Repeat("ab", 20)+"x!")  // match with digits run
+	checkParity(t, r, "1"+strings.Repeat("a", 40))         // no match, exponential without budget
+	checkParity(t, r, "1"+strings.Repeat("a", 40)+"!")     // match
+	checkParity(t, r, "123"+strings.Repeat("ab", 20)+"x!") // match with digits run
 }
 
 // TestOracleProgram: an AST the lowering cannot represent (non-ASCII

@@ -95,7 +95,8 @@ type program struct {
 	// re is the stdlib compilation of the same regex: the mid-match
 	// fallback when the backtracking budget runs out, and the whole
 	// matcher when oracle is set (ASTs the lowering cannot represent,
-	// e.g. non-ASCII exclusion sets).
+	// e.g. non-ASCII exclusion sets). Only programs that can consult it
+	// carry it: det programs leave it nil.
 	re     *regexp.Regexp
 	oracle bool
 	// det marks a program whose every quantified op has exactly one
@@ -104,8 +105,8 @@ type program struct {
 	// attempt never backtracks and runs on the iterative matchDet loop
 	// instead of the VM. Learned conventions are almost always det.
 	// det programs never consult re: matchDet and matchDetAll have no
-	// stdlib fallback, which is what lets the binary corpus loader skip
-	// regexp compilation for them entirely.
+	// stdlib fallback, which is what lets both compileProgram and the
+	// binary corpus loader skip regexp compilation for them entirely.
 	det bool
 	// rxIndex is the program's position in the regex list it compiled
 	// from (Compile drops stdlib-uncompilable regexes, so program count
@@ -113,30 +114,50 @@ type program struct {
 	rxIndex int
 }
 
+// stdlibGateLen bounds the literal bytes a program may carry before its
+// acceptance is left to regexp.Compile itself: far below any of the
+// stdlib parser's size and nesting limits, far above any learned
+// convention.
+const stdlibGateLen = 256
+
 // compileProgram lowers r. ok is false when the stdlib cannot compile r
 // (such regexes have always been dropped from serving). A lowerable AST
-// gets the VM; anything else keeps stdlib matching behind the same
-// prefilters.
+// gets the det loop or the VM; anything else is an oracle program that
+// matches through the stdlib.
+//
+// The stdlib form is compiled only when the program can consult it (the
+// oracle, or a non-det program's budget fallback) or when the cheap
+// structural gate below cannot vouch that regexp.Compile accepts the
+// rendered regex. The gate: every literal, alternative and exclusion
+// string is valid UTF-8 (the stdlib rejects any invalid byte in a
+// pattern, and literals render QuoteMeta-escaped), every exclusion set
+// is non-empty ASCII without '\', '[' or ']' (so "[^...]+" parses as the
+// byte set the op holds), and the literal material is short. Anything
+// else lowers as an oracle program or is compiled to decide.
+// FuzzProgramSpans checks the gate against regexp.Compile.
 func compileProgram(r *rex.Regex) (*program, bool) {
-	re, err := r.Compile()
-	if err != nil {
-		return nil, false
-	}
-	p := &program{leftOpen: r.LeftOpen(), re: re, tailID: -1}
+	n := r.NumTokens()
+	p := &program{leftOpen: r.LeftOpen(), tailID: -1, ops: make([]op, 0, n)}
 	supported := true
-	for _, t := range r.Tokens() {
+	litBytes := 0
+	for i := 0; i < n; i++ {
+		t := r.Token(i)
 		var o op
 		switch t.Kind {
 		case rex.KindLit:
-			o = op{kind: opLit, lit: t.Lit, minW: len(t.Lit)}
+			if !utf8.ValidString(t.Lit) {
+				return nil, false
+			}
+			litBytes += len(t.Lit)
+			o = op{kind: opLit, lit: t.Lit}
 		case rex.KindCapture:
-			o = op{kind: opSet, capture: true, minW: 1}
+			o = op{kind: opSet, capture: true}
 			o.set.addRange('0', '9')
 		case rex.KindCaptureAlpha:
-			o = op{kind: opSet, capture: true, minW: 1}
+			o = op{kind: opSet, capture: true}
 			o.set.addRange('a', 'z')
 		case rex.KindClass:
-			o = op{kind: opSet, minW: 1}
+			o = op{kind: opSet}
 			switch t.Class {
 			case rex.ClassAlpha:
 				o.set.addRange('a', 'z')
@@ -147,33 +168,44 @@ func compileProgram(r *rex.Regex) (*program, bool) {
 				o.set.addRange('0', '9')
 			}
 		case rex.KindExcl:
-			o = op{kind: opExcl, minW: 1}
-			for i := 0; i < len(t.Excl); i++ {
-				b := t.Excl[i]
-				if b >= utf8.RuneSelf {
+			if !utf8.ValidString(t.Excl) {
+				return nil, false
+			}
+			litBytes += len(t.Excl)
+			o = op{kind: opExcl}
+			if t.Excl == "" {
+				// "[^]+" opens a class with a literal ']': what it means
+				// depends on the tokens after it.
+				supported = false
+			}
+			for j := 0; j < len(t.Excl); j++ {
+				b := t.Excl[j]
+				switch {
+				case b >= utf8.RuneSelf:
 					// A non-ASCII excluded character is rune-level class
 					// semantics a byte set cannot express.
+					supported = false
+				case b == '\\' || b == '[' || b == ']':
+					// Class syntax, not a class member, once rendered.
 					supported = false
 				}
 				o.set.add(b)
 			}
 		case rex.KindDotPlus:
-			o = op{kind: opExcl, minW: 1}
+			o = op{kind: opExcl}
 			o.set.add('\n')
 		case rex.KindAlt:
 			alts := t.Alts
+			for _, a := range alts {
+				if !utf8.ValidString(a) {
+					return nil, false
+				}
+				litBytes += len(a) + 1
+			}
 			if len(alts) == 0 {
 				alts = []string{""} // "(?:)" matches the empty string
 			}
 			o = op{kind: opAlt, alts: alts, opt: t.Opt}
-			if !t.Opt {
-				o.minW = len(alts[0])
-				for _, a := range alts[1:] {
-					if len(a) < o.minW {
-						o.minW = len(a)
-					}
-				}
-			}
 		default:
 			supported = false
 		}
@@ -181,6 +213,15 @@ func compileProgram(r *rex.Regex) (*program, bool) {
 	}
 	p.oracle = !supported
 	p.finalize()
+	if !p.det || litBytes > stdlibGateLen {
+		re, err := r.Compile()
+		if err != nil {
+			return nil, false
+		}
+		if !p.det {
+			p.re = re
+		}
+	}
 	return p, true
 }
 
@@ -252,6 +293,12 @@ func (p *program) finalize() {
 		if p.ops[n-1].kind == opLit {
 			p.tailLit = p.ops[n-1].lit
 		}
+	}
+	if p.oracle {
+		// The op sequence need not be the stdlib's parse of the rendered
+		// regex (an exclusion set holding ']' renders as a different
+		// class), so no prefilter derived from it may reject a host.
+		p.minLen, p.headLit, p.tailLit = 0, "", ""
 	}
 	p.det = !p.oracle && p.deterministic()
 }
@@ -429,6 +476,9 @@ type vm struct {
 	host       string
 	steps      int
 	capS, capE int
+	// spans, when non-nil, receives every op's extent on the successful
+	// path (one entry per op). The serving path leaves it nil.
+	spans [][2]int
 }
 
 // match runs the program against host, returning the capture span.
@@ -451,51 +501,47 @@ func (p *program) match(host string) (capS, capE int, ok bool) {
 		return p.matchDetAll(host)
 	}
 	v := vm{host: host, steps: stepBudget}
-	if !p.leftOpen {
-		if p.headLit != "" && !strings.HasPrefix(host, p.headLit) {
-			return 0, 0, false
-		}
-		if v.run(p, 0, 0) {
-			return v.capS, v.capE, true
-		}
-		if v.steps < 0 {
-			return p.oracleMatch(host)
-		}
-		return 0, 0, false
+	if p.search(&v) {
+		return v.capS, v.capE, true
 	}
-	// Left-open: the leftmost start offset that matches wins, exactly as
-	// the stdlib resolves an unanchored pattern. When the first op is a
-	// literal only its occurrences are viable starts.
-	limit := len(host) - p.minLen
-	if p.headLit != "" {
-		for s := 0; s <= limit; {
-			i := strings.Index(host[s:], p.headLit)
-			if i < 0 {
-				return 0, 0, false
-			}
-			s += i
-			if s > limit {
-				return 0, 0, false
-			}
-			if v.run(p, 0, s) {
-				return v.capS, v.capE, true
-			}
-			if v.steps < 0 {
-				return p.oracleMatch(host)
-			}
-			s++
-		}
-		return 0, 0, false
-	}
-	for s := 0; s <= limit; s++ {
-		if v.run(p, 0, s) {
-			return v.capS, v.capE, true
-		}
-		if v.steps < 0 {
-			return p.oracleMatch(host)
-		}
+	if v.steps < 0 {
+		return p.oracleMatch(host)
 	}
 	return 0, 0, false
+}
+
+// search runs the VM over v.host from each viable start offset and
+// reports whether one matched. A start-anchored program tries offset 0
+// only; a left-open one takes the leftmost start that matches, exactly
+// as the stdlib resolves an unanchored pattern, and when its first op is
+// a literal only that literal's occurrences are viable starts. A false
+// result with v.steps < 0 means the step budget ran out and the answer
+// is the stdlib's.
+func (p *program) search(v *vm) bool {
+	host := v.host
+	if !p.leftOpen {
+		if p.headLit != "" && !strings.HasPrefix(host, p.headLit) {
+			return false
+		}
+		return v.run(p, 0, 0)
+	}
+	limit := len(host) - p.minLen
+	for s := 0; s <= limit; s++ {
+		if p.headLit != "" {
+			i := strings.Index(host[s:], p.headLit)
+			if i < 0 || s+i > limit {
+				return false
+			}
+			s += i
+		}
+		if v.run(p, 0, s) {
+			return true
+		}
+		if v.steps < 0 {
+			return false
+		}
+	}
+	return false
 }
 
 // matchDetAll is the start-offset search for left-open det programs:
@@ -532,7 +578,7 @@ func (p *program) matchDetAll(host string) (int, int, bool) {
 // oracleMatch answers with the stdlib compilation of the same regex.
 func (p *program) oracleMatch(host string) (int, int, bool) {
 	m := p.re.FindStringSubmatchIndex(host)
-	if m == nil || m[2] < 0 {
+	if len(m) < 4 || m[2] < 0 { // no match, or the capture group did not survive rendering
 		return 0, 0, false
 	}
 	return m[2], m[3], true
@@ -557,14 +603,14 @@ func (v *vm) run(p *program, i, pos int) bool {
 		if end > len(v.host) || v.host[pos:end] != o.lit {
 			return false
 		}
-		return v.run(p, i+1, end)
+		return v.run(p, i+1, end) && v.hit(o, i, pos, end)
 
 	case opAlt:
 		for _, a := range o.alts {
 			end := pos + len(a)
 			if end <= len(v.host) && v.host[pos:end] == a {
 				if v.run(p, i+1, end) {
-					return true
+					return v.hit(o, i, pos, end)
 				}
 				if v.steps < 0 {
 					return false
@@ -572,7 +618,7 @@ func (v *vm) run(p *program, i, pos int) bool {
 			}
 		}
 		if o.opt {
-			return v.run(p, i+1, pos)
+			return v.run(p, i+1, pos) && v.hit(o, i, pos, pos)
 		}
 		return false
 
@@ -590,20 +636,11 @@ func (v *vm) run(p *program, i, pos int) bool {
 			if end <= pos || end > max {
 				return false
 			}
-			if v.run(p, i+1, end) {
-				if o.capture {
-					v.capS, v.capE = pos, end
-				}
-				return true
-			}
-			return false
+			return v.run(p, i+1, end) && v.hit(o, i, pos, end)
 		}
 		for end := max; end > pos; end-- {
 			if v.run(p, i+1, end) {
-				if o.capture {
-					v.capS, v.capE = pos, end
-				}
-				return true
+				return v.hit(o, i, pos, end)
 			}
 			if v.steps < 0 {
 				return false
@@ -641,11 +678,11 @@ func (v *vm) run(p *program, i, pos int) bool {
 			if sawMulti && !runeBoundaryFrom(v.host, pos, end) {
 				return false
 			}
-			return v.run(p, i+1, end) && v.setCap(o, pos, end)
+			return v.run(p, i+1, end) && v.hit(o, i, pos, end)
 		}
 		for end := max; end > pos; {
 			if v.run(p, i+1, end) {
-				return v.setCap(o, pos, end)
+				return v.hit(o, i, pos, end)
 			}
 			if v.steps < 0 {
 				return false
@@ -665,11 +702,16 @@ func (v *vm) run(p *program, i, pos int) bool {
 	return false
 }
 
-// setCap records the capture span when o is the capture op; it always
-// reports true so callers can chain it after a successful tail match.
-func (v *vm) setCap(o *op, s, e int) bool {
+// hit records op i's extent [s, e) on the successful path — the capture
+// span when o is the capture op, and the op's span when spans are
+// recorded. It always reports true so callers can chain it after a
+// successful tail match.
+func (v *vm) hit(o *op, i, s, e int) bool {
 	if o.capture {
 		v.capS, v.capE = s, e
+	}
+	if v.spans != nil {
+		v.spans[i] = [2]int{s, e}
 	}
 	return true
 }

@@ -93,62 +93,44 @@ func Alt(opt bool, alts ...string) Token {
 	return Token{Kind: KindAlt, Alts: sorted, Opt: opt}
 }
 
-// render appends the token's regex syntax to sb.
-func (t Token) render(sb *strings.Builder) {
+// appendTo appends the token's regex syntax to dst.
+func (t Token) appendTo(dst []byte) []byte {
 	switch t.Kind {
 	case KindLit:
-		writeEscLit(sb, t.Lit)
+		return appendEscLit(dst, t.Lit)
 	case KindCapture:
-		sb.WriteString(`(\d+)`)
+		return append(dst, `(\d+)`...)
 	case KindCaptureAlpha:
-		sb.WriteString(`([a-z]+)`)
+		return append(dst, `([a-z]+)`...)
 	case KindExcl:
-		sb.WriteString("[^")
-		writeClassChars(sb, t.Excl)
-		sb.WriteString("]+")
+		dst = append(dst, "[^"...)
+		dst = appendClassChars(dst, t.Excl)
+		return append(dst, "]+"...)
 	case KindClass:
 		switch t.Class {
 		case ClassAlpha:
-			sb.WriteString("[a-z]+")
+			return append(dst, "[a-z]+"...)
 		case ClassDigit:
-			sb.WriteString(`\d+`)
+			return append(dst, `\d+`...)
 		default:
-			sb.WriteString(`[a-z\d]+`)
+			return append(dst, `[a-z\d]+`...)
 		}
 	case KindDotPlus:
-		sb.WriteString(".+")
+		return append(dst, ".+"...)
 	case KindAlt:
-		sb.WriteString("(?:")
+		dst = append(dst, "(?:"...)
 		for i, a := range t.Alts {
 			if i > 0 {
-				sb.WriteByte('|')
+				dst = append(dst, '|')
 			}
-			writeEscLit(sb, a)
+			dst = appendEscLit(dst, a)
 		}
-		sb.WriteByte(')')
+		dst = append(dst, ')')
 		if t.Opt {
-			sb.WriteByte('?')
+			dst = append(dst, '?')
 		}
 	}
-}
-
-// renderMax is a cheap upper bound on the token's rendered byte length,
-// used to size the String builder in one allocation.
-func (t Token) renderMax() int {
-	switch t.Kind {
-	case KindLit:
-		return 2 * len(t.Lit)
-	case KindExcl:
-		return 3 + 2*len(t.Excl)
-	case KindAlt:
-		n := 5
-		for _, a := range t.Alts {
-			n += 2*len(a) + 1
-		}
-		return n
-	default:
-		return 8 // the widest fixed form is "([a-z]+)"
-	}
+	return dst
 }
 
 // equal reports deep equality of tokens.
@@ -165,22 +147,12 @@ func (t Token) equal(u Token) bool {
 	return true
 }
 
-// escapeLit escapes regex metacharacters in hostname literals. Hostname
-// alphabets only contain [a-z0-9.-_]; '.' and '-' are the characters that
-// need care ('-' only inside classes, but the paper escapes neither '-'
-// nor '_' in literals).
-func escapeLit(s string) string {
-	// QuoteMeta rather than dot-only: a literal containing \ or a
-	// quantifier character would otherwise render into a string that
-	// re-parses (and compiles) as a different regex, breaking the
-	// String/Parse round-trip FuzzParse pins. Normalized hostnames never
-	// contain those bytes, so real renders are unchanged.
-	return regexp.QuoteMeta(s)
-}
-
-// litMeta marks the bytes regexp.QuoteMeta escapes; writeEscLit keeps
-// byte-for-byte parity with escapeLit without QuoteMeta's intermediate
-// string (candidate generation renders thousands of regexes per suffix).
+// litMeta marks the bytes regexp.QuoteMeta escapes. Literals are
+// escaped like QuoteMeta rather than dot-only: a literal containing \ or
+// a quantifier character would otherwise render into a string that
+// re-parses (and compiles) as a different regex, breaking the
+// String/Parse round-trip FuzzParse pins. Normalized hostnames contain
+// only [a-z0-9.-_], where '.' is the one byte this changes.
 var litMeta = func() (t [256]bool) {
 	for _, b := range []byte(`\.+*?()|[]{}^$`) {
 		t[b] = true
@@ -188,34 +160,36 @@ var litMeta = func() (t [256]bool) {
 	return
 }()
 
-// writeEscLit writes s with regex metacharacters escaped, equivalent to
-// sb.WriteString(escapeLit(s)) with zero intermediate allocation.
-func writeEscLit(sb *strings.Builder, s string) {
+// appendEscLit appends s with regex metacharacters escaped: the bytes of
+// regexp.QuoteMeta(s) without its intermediate string.
+func appendEscLit(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if litMeta[s[i]] {
-			sb.WriteByte('\\')
+			dst = append(dst, '\\')
 		}
-		sb.WriteByte(s[i])
+		dst = append(dst, s[i])
 	}
+	return dst
 }
 
-// writeClassChars renders characters inside [^...] the way the paper
+// appendClassChars renders characters inside [^...] the way the paper
 // prints them: dot escaped, dash last.
-func writeClassChars(sb *strings.Builder, chars string) {
+func appendClassChars(dst []byte, chars string) []byte {
 	dash := false
 	for i := 0; i < len(chars); i++ {
 		switch chars[i] {
 		case '.':
-			sb.WriteString(`\.`)
+			dst = append(dst, `\.`...)
 		case '-':
 			dash = true
 		default:
-			sb.WriteByte(chars[i])
+			dst = append(dst, chars[i])
 		}
 	}
 	if dash {
-		sb.WriteByte('-')
+		dst = append(dst, '-')
 	}
+	return dst
 }
 
 // Regex is a token sequence with exactly one Capture token. It is always
@@ -228,10 +202,9 @@ type Regex struct {
 	leftOpen bool
 	// str and re are lazily populated caches; a Regex is immutable after
 	// construction.
-	str   string
-	re    *regexp.Regexp
-	inRe  *regexp.Regexp // instrumented: every token in its own group
-	inIdx []int          // token index -> instrumented group number
+	str  string
+	re   *regexp.Regexp
+	inRe *regexp.Regexp // instrumented: token i is group i+1
 }
 
 // New builds a Regex from tokens. Empty literal tokens are dropped and
@@ -292,6 +265,9 @@ func (r *Regex) Tokens() []Token {
 	return append([]Token(nil), r.tokens...)
 }
 
+// Token returns token i without copying the sequence.
+func (r *Regex) Token(i int) Token { return r.tokens[i] }
+
 // NumTokens returns the number of tokens.
 func (r *Regex) NumTokens() int { return len(r.tokens) }
 
@@ -301,22 +277,28 @@ func (r *Regex) LeftOpen() bool { return r.leftOpen }
 // String renders the regex in the paper's syntax, including anchors.
 func (r *Regex) String() string {
 	if r.str == "" {
-		size := 2
-		for _, t := range r.tokens {
-			size += t.renderMax()
-		}
-		var sb strings.Builder
-		sb.Grow(size)
-		if !r.leftOpen {
-			sb.WriteByte('^')
-		}
-		for _, t := range r.tokens {
-			t.render(&sb)
-		}
-		sb.WriteByte('$')
-		r.str = sb.String()
+		// Typical conventions render well under 128 bytes, so the only
+		// allocation is the string itself.
+		var buf [128]byte
+		r.str = string(AppendString(buf[:0], r.leftOpen, r.tokens))
 	}
 	return r.str
+}
+
+// AppendString appends to dst the rendering of the regex that New (or
+// NewOpen, when leftOpen is set) builds from toks: the bytes its String
+// returns. Empty literals render as nothing and adjacent literals as
+// their concatenation, so the raw sequence renders without the cleaning
+// build does, and a caller can key a token sequence before deciding to
+// build a Regex from it.
+func AppendString(dst []byte, leftOpen bool, toks []Token) []byte {
+	if !leftOpen {
+		dst = append(dst, '^')
+	}
+	for _, t := range toks {
+		dst = t.appendTo(dst)
+	}
+	return append(dst, '$')
 }
 
 // Equal reports whether two regexes have identical token sequences and
@@ -355,7 +337,9 @@ func (r *Regex) Extract(hostname string) (asn string, start, end int, ok bool) {
 		return "", 0, 0, false
 	}
 	m := re.FindStringSubmatchIndex(hostname)
-	if m == nil {
+	if len(m) < 4 {
+		// No match, or a token whose rendering is not self-delimiting
+		// swallowed the capture group.
 		return "", 0, 0, false
 	}
 	// Group 1 is the single Capture token.
@@ -381,56 +365,42 @@ func (r *Regex) TokenSpans(hostname string) (spans [][2]int, ok bool) {
 // embedding) reuses a single buffer instead of allocating per match.
 func (r *Regex) AppendTokenSpans(dst [][2]int, hostname string) (spans [][2]int, ok bool) {
 	if r.inRe == nil {
-		var sb strings.Builder
+		var b []byte
 		if !r.leftOpen {
-			sb.WriteByte('^')
+			b = append(b, '^')
 		}
-		r.inIdx = make([]int, len(r.tokens))
-		group := 0
-		for i, t := range r.tokens {
-			group++
-			r.inIdx[i] = group
-			sb.WriteByte('(')
+		for _, t := range r.tokens {
+			b = append(b, '(')
 			switch t.Kind {
-			case KindAlt:
-				// render without the outer (?:...) since we add our own group
-				sb.WriteString("(?:")
-				for j, a := range t.Alts {
-					if j > 0 {
-						sb.WriteByte('|')
-					}
-					sb.WriteString(escapeLit(a))
-				}
-				sb.WriteByte(')')
-				if t.Opt {
-					sb.WriteByte('?')
-				}
 			case KindCapture:
-				sb.WriteString(`\d+`)
+				b = append(b, `\d+`...)
 			case KindCaptureAlpha:
-				sb.WriteString(`[a-z]+`)
+				b = append(b, `[a-z]+`...)
 			default:
-				var tb strings.Builder
-				t.render(&tb)
-				sb.WriteString(tb.String())
+				b = t.appendTo(b)
 			}
-			sb.WriteByte(')')
+			b = append(b, ')')
 		}
-		sb.WriteByte('$')
+		b = append(b, '$')
 		//hoiho:recompile-ok compile-once cache for the instrumented span matcher: stored on r.inRe, rebuilt never
-		re, err := regexp.Compile(sb.String())
+		re, err := regexp.Compile(string(b))
 		if err != nil {
 			return dst[:0], false
 		}
 		r.inRe = re
+	}
+	if r.inRe.NumSubexp() != len(r.tokens) {
+		// A token whose rendering is not self-delimiting (an exclusion
+		// set holding ']' or nothing) merged groups: fail closed rather
+		// than misalign spans.
+		return dst[:0], false
 	}
 	m := r.inRe.FindStringSubmatchIndex(hostname)
 	if m == nil {
 		return dst[:0], false
 	}
 	spans = dst[:0]
-	for i := range r.tokens {
-		g := r.inIdx[i]
+	for g := 1; g <= len(r.tokens); g++ {
 		spans = append(spans, [2]int{m[2*g], m[2*g+1]})
 	}
 	return spans, true

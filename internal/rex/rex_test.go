@@ -310,6 +310,49 @@ func TestCompileAndExtractQuick(t *testing.T) {
 	}
 }
 
+// Property: AppendString over a raw token sequence — empty literals,
+// adjacent literals, metacharacters included — renders exactly the
+// String() of the Regex New (or NewOpen) builds from the same tokens.
+func TestAppendStringMatchesBuild(t *testing.T) {
+	lits := []string{"", "", "as", ".", "-", "x.y", `a+b`, "(", "é"}
+	pool := []Token{
+		Capture(), CaptureAlpha(), DotPlus(), Excl("."), Excl("-."), Excl(""),
+		ClassTok(ClassAlpha), ClassTok(ClassDigit), ClassTok(ClassAlnum),
+		Alt(true, "p", "s"), Alt(false, "as", "", "r."),
+	}
+	f := func(spec []uint8, open bool) bool {
+		var toks []Token
+		for _, b := range spec {
+			if b%2 == 0 {
+				toks = append(toks, Lit(lits[int(b/2)%len(lits)]))
+			} else {
+				toks = append(toks, pool[int(b/2)%len(pool)])
+			}
+		}
+		build := New
+		if open {
+			build = NewOpen
+		}
+		r, err := build(toks...)
+		if err != nil {
+			return true // New rejects the sequence: nothing to render
+		}
+		return string(AppendString([]byte("junk"), open, toks)) == "junk"+r.String()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// Coalescing and dropping, explicitly.
+	toks := []Token{Lit(""), Lit("a."), Lit("b"), Capture(), Lit(""), Lit("-"), Lit(".net")}
+	r := MustNew(toks...)
+	if r.NumTokens() != 3 {
+		t.Fatalf("New kept %d tokens, want 3", r.NumTokens())
+	}
+	if got, want := string(AppendString(nil, false, toks)), `^a\.b(\d+)-\.net$`; got != want || r.String() != want {
+		t.Fatalf("AppendString %q, String %q, want %q", got, r.String(), want)
+	}
+}
+
 // Property: merging is symmetric in match semantics — the merged regex
 // matches everything either input matched.
 func TestMergeCoversInputs(t *testing.T) {
